@@ -56,4 +56,9 @@ python -m repro arena --smoke --no-manifest
 # numbers: python scripts/bench_serve.py)
 python -m repro serve --smoke --no-manifest
 
+# benchmark self-tests (~30s): evaxbench's small-size workloads end to
+# end against the program it times, so a change to a path the
+# benchmark calls (e.g. overhead_on) fails here, not only in a bench run
+python -m pytest evaxbench -q
+
 exec python -m pytest -x -q -m "not slow" "$@"

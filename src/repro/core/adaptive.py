@@ -11,7 +11,9 @@ import copy
 from dataclasses import dataclass
 
 from repro.defenses.controller import SecureModeController
-from repro.sim import Machine, SimConfig
+from repro.defenses.policies import run_workload
+from repro.obs import metrics
+from repro.sim import Machine, SimConfig, cycle_cap
 from repro.sim.config import DefenseMode
 
 
@@ -47,13 +49,18 @@ class AdaptiveArchitecture:
         self.sample_period = sample_period
         self.fail_secure = fail_secure
 
+    def _controller(self):
+        """A fresh per-run detector hook for the machine."""
+        return SecureModeController(self.detector.detector_fn(),
+                                    self.secure_mode,
+                                    self.secure_window,
+                                    fail_secure=self.fail_secure)
+
     def run_source(self, source, config=None, max_cycles=None):
-        """Run an Attack or Workload under adaptive protection."""
+        """Run an Attack or Workload under adaptive protection, for
+        ``max_cycles`` or else the source's :func:`~repro.sim.cycle_cap`."""
         program, actors = source.build()
-        controller = SecureModeController(self.detector.detector_fn(),
-                                          self.secure_mode,
-                                          self.secure_window,
-                                          fail_secure=self.fail_secure)
+        controller = self._controller()
         machine = Machine(
             program,
             copy.deepcopy(config) if config is not None else SimConfig(),
@@ -61,28 +68,45 @@ class AdaptiveArchitecture:
             actors=actors,
             detector_hook=controller,
         )
-        if max_cycles is None:
-            max_cycles = source.max_cycles() if hasattr(source, "max_cycles") \
-                else 400_000
-        result = machine.run(max_cycles=max_cycles)
+        result = machine.run(max_cycles=cycle_cap(source)
+                             if max_cycles is None else max_cycles)
+        return self._outcome(controller, machine, result)
+
+    def _outcome(self, controller, machine, result):
         return AdaptiveRun(result=result, flags=controller.flags,
                            secure_fraction=controller.secure_fraction,
                            machine=machine, latched=controller.latched,
                            latch_reason=controller.latch_reason)
 
     def overhead_on(self, workloads, baseline_cycles=None):
-        """Adaptive overhead per benign workload vs the undefended run."""
-        from repro.defenses.policies import run_workload
-        if baseline_cycles is None:
-            baseline_cycles = {
-                w.name: run_workload(w, SimConfig()).cycles for w in workloads
-            }
+        """Adaptive overhead per benign workload vs the undefended run.
+
+        Returns ``(overheads, baseline_cycles)``.  Each workload's gated
+        run comes first.  A run whose controller never flagged and never
+        latched never called ``Machine.set_defense``: it ran the default
+        ``SimConfig()`` to the cycle cap ``run_workload`` uses, so it
+        *is* the undefended run (sampling only observes) and its cycles
+        are reused as the baseline, counted in
+        ``adaptive.baseline.reused``.  Any other run's baseline is
+        simulated.  Entries of ``baseline_cycles`` win over both.
+        """
+        supplied = baseline_cycles or {}
+        baselines = dict(supplied)
+        reused = metrics().counter("adaptive.baseline.reused")
         overheads = {}
         for w in workloads:
             run = self.run_source(w)
-            base = baseline_cycles[w.name]
+            if w.name in supplied:
+                base = supplied[w.name]
+            elif (not run.flags and not run.latched
+                  and run.machine.config == SimConfig()):
+                base = run.cycles
+                reused.inc()
+            else:
+                base = run_workload(w, SimConfig()).cycles
+            baselines[w.name] = base
             overheads[w.name] = (run.cycles - base) / base if base else 0.0
-        return overheads, baseline_cycles
+        return overheads, baselines
 
     def run_attack(self, attack, config=None):
         """Run an attack under adaptive protection; returns

@@ -14,14 +14,11 @@ module completes that arc:
   per-family responses: binary detector gates, classifier aims.
 """
 
-import copy
-
 import numpy as np
 
-from repro.core.adaptive import AdaptiveRun
+from repro.core.adaptive import AdaptiveArchitecture, AdaptiveRun
 from repro.data.features import MaxNormalizer
 from repro.ml import MLP, Adam, CategoricalCrossEntropy
-from repro.sim import Machine, SimConfig
 from repro.sim.config import DefenseMode
 
 #: attack category -> mitigation family
@@ -171,41 +168,22 @@ class TargetedController:
             machine.config.dram_refresh_interval = self._normal_refresh
 
 
-class TargetedAdaptiveArchitecture:
+class TargetedAdaptiveArchitecture(AdaptiveArchitecture):
     """Detector + classifier: gate on the flag, aim the response."""
 
     def __init__(self, detector, classifier, secure_window=10_000,
                  sample_period=100):
-        self.detector = detector
+        super().__init__(detector, secure_window=secure_window,
+                         sample_period=sample_period)
         self.classifier = classifier
-        self.secure_window = secure_window
-        self.sample_period = sample_period
 
-    def run_source(self, source, config=None, max_cycles=None):
-        program, actors = source.build()
-        controller = TargetedController(self.detector.detector_fn(),
-                                        self.classifier,
-                                        self.secure_window)
-        machine = Machine(
-            program,
-            copy.deepcopy(config) if config is not None else SimConfig(),
-            sample_period=self.sample_period,
-            actors=actors,
-            detector_hook=controller,
-        )
-        if max_cycles is None:
-            max_cycles = source.max_cycles() if hasattr(source, "max_cycles") \
-                else 400_000
-        result = machine.run(max_cycles=max_cycles)
+    def _controller(self):
+        return TargetedController(self.detector.detector_fn(),
+                                  self.classifier,
+                                  self.secure_window)
+
+    def _outcome(self, controller, machine, result):
         run = AdaptiveRun(result=result, flags=controller.flags,
                           secure_fraction=0.0, machine=machine)
         run.family_flags = controller.family_flags
         return run
-
-    def run_attack(self, attack, config=None):
-        from repro.attacks.base import bits_balanced_accuracy
-        run = self.run_source(attack, config=config)
-        recovered = attack.recover(run.machine, run.result)
-        leaked = bool(attack.secret_bits) and bits_balanced_accuracy(
-            attack.secret_bits, recovered) >= 0.75
-        return run, leaked

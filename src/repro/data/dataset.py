@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.data.features import FeatureSchema, MaxNormalizer
 from repro.runtime.errors import DivergentTraceError
-from repro.sim import Machine, SimConfig
+from repro.sim import Machine, SimConfig, cycle_cap
 from repro.sim.hpc import COUNTER_NAMES
 
 
@@ -142,8 +142,7 @@ def collect_source(source, label, config=None, sample_period=250,
     program, actors = source.build()
     sim_config = copy.deepcopy(config) if config is not None else SimConfig()
     if max_cycles is None:
-        max_cycles = source.max_cycles() if hasattr(source, "max_cycles") \
-            else 400_000
+        max_cycles = cycle_cap(source)
     if tenancy == "smt":
         from repro.sim import SMTMachine
         sim_config.smt_contexts = 2

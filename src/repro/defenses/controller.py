@@ -61,6 +61,11 @@ class SecureModeController:
         self.latch_reason = None
         self.detector_errors = 0
         self._expected_dim = None
+        # cached handles for the counters bumped every window
+        reg = metrics()
+        self._m_windows = reg.counter("adaptive.windows.total")
+        self._m_secure = reg.counter("adaptive.windows.secure")
+        self._m_flags = reg.counter("adaptive.flags")
 
     # -- health watchdog ----------------------------------------------------
 
@@ -99,23 +104,22 @@ class SecureModeController:
         machine.set_defense(self.secure_mode)
 
     def __call__(self, machine, sample):
-        reg = metrics()
         self.windows_total += 1
-        reg.inc("adaptive.windows.total")
+        self._m_windows.inc()
         if self.latched:
             # fail-secure latch: every remaining window runs mitigated;
             # the wedged detector is not consulted again
             self.windows_secure += 1
-            reg.inc("adaptive.windows.secure")
+            self._m_secure.inc()
             return False
         counted_secure = self.active
         if self.active:
             self.windows_secure += 1
-            reg.inc("adaptive.windows.secure")
+            self._m_secure.inc()
             if sample.commit_index >= self.secure_until:
                 self.active = False
                 machine.set_defense(DefenseMode.NONE)
-                reg.inc("adaptive.secure.exits")
+                metrics().inc("adaptive.secure.exits")
                 obs_event("adaptive.secure_exit", level="debug",
                           commit_index=sample.commit_index)
         try:
@@ -131,16 +135,16 @@ class SecureModeController:
             self._latch(machine, type(exc).__name__, exc)
             if not counted_secure:   # the faulted window itself runs secure
                 self.windows_secure += 1
-                reg.inc("adaptive.windows.secure")
+                self._m_secure.inc()
             return False
         if flagged:
             self.flags += 1
-            reg.inc("adaptive.flags")
+            self._m_flags.inc()
             self.secure_until = sample.commit_index + self.secure_window
             if not self.active:
                 self.active = True
                 machine.set_defense(self.secure_mode)
-                reg.inc("adaptive.secure.entries")
+                metrics().inc("adaptive.secure.entries")
                 obs_event("adaptive.secure_enter",
                           commit_index=sample.commit_index,
                           mode=getattr(self.secure_mode, "value",

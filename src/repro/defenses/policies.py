@@ -3,7 +3,7 @@
 import copy
 from dataclasses import dataclass
 
-from repro.sim import Machine, SimConfig
+from repro.sim import Machine, SimConfig, cycle_cap
 from repro.sim.config import DefenseMode
 
 
@@ -40,14 +40,16 @@ DEFENSE_CONFIGS = (
 )
 
 
-def run_workload(workload, config=None, sample_period=1000, max_cycles=400_000,
+def run_workload(workload, config=None, sample_period=1000, max_cycles=None,
                  detector_hook=None):
-    """Run one benign workload; returns its RunResult."""
+    """Run one benign workload; returns its RunResult.  ``max_cycles``
+    defaults to the workload's :func:`~repro.sim.cycle_cap`."""
     program, actors = workload.build()
     machine = Machine(program, copy.deepcopy(config) if config else SimConfig(),
                       sample_period=sample_period, actors=actors,
                       detector_hook=detector_hook)
-    return machine.run(max_cycles=max_cycles)
+    return machine.run(max_cycles=cycle_cap(workload) if max_cycles is None
+                       else max_cycles)
 
 
 def measure_overhead(workloads, mode, baseline_cycles=None,

@@ -112,6 +112,9 @@ CATALOG = {
             ("counter", "watchdog latches into always-secure mode"),
         "adaptive.detector.errors":
             ("counter", "detector faults seen by the health watchdog"),
+        "adaptive.baseline.reused":
+            ("counter", "Fig 16 baselines taken from a gated run that "
+                        "never left full-performance mode"),
     },
     "campaign": {
         "campaign.cells.total":

@@ -140,9 +140,8 @@ class ChaosSource:
         return self.inner.build()
 
     def max_cycles(self):
-        if hasattr(self.inner, "max_cycles"):
-            return self.inner.max_cycles()
-        return 400_000
+        from repro.sim import cycle_cap   # runtime stays free of sim imports
+        return cycle_cap(self.inner)
 
     # -- hooks invoked by the collection worker -------------------------------
 

@@ -20,7 +20,7 @@ from repro.sim.program import Program, ProgramBuilder
 from repro.sim.config import SimConfig, DefenseMode
 from repro.sim.cpu import O3Core
 from repro.sim.hpc import CounterBank
-from repro.sim.machine import Machine, RunResult
+from repro.sim.machine import Machine, RunResult, cycle_cap
 from repro.sim.memo import GLOBAL_MEMO_TABLE, TraceMemoTable
 from repro.sim.multiprog import SMTMachine, SMTRunResult, TimeSharedMachine
 from repro.sim.reference import ReferenceO3Core
@@ -42,6 +42,7 @@ __all__ = [
     "ReferenceO3Core",
     "Machine",
     "RunResult",
+    "cycle_cap",
     "TraceMemoTable",
     "GLOBAL_MEMO_TABLE",
     "TimeSharedMachine",

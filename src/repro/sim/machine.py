@@ -16,6 +16,17 @@ from repro.sim.sampler import Sampler
 from repro.sim.tlb import TLB
 from repro.sim.units import RngUnit
 
+#: cycle budget of a source that does not name its own
+DEFAULT_MAX_CYCLES = 400_000
+
+
+def cycle_cap(source):
+    """The cycle budget for running ``source`` (an attack or workload)
+    to completion: its own ``max_cycles()`` when it defines one, else
+    :data:`DEFAULT_MAX_CYCLES`."""
+    max_cycles = getattr(source, "max_cycles", None)
+    return max_cycles() if max_cycles is not None else DEFAULT_MAX_CYCLES
+
 
 @dataclass
 class RunResult:

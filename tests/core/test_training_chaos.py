@@ -237,6 +237,26 @@ class TestAdaptiveFailSecure:
         assert snapshot["adaptive.windows.secure"] == \
             snapshot["adaptive.windows.total"]
 
+    def test_latched_benign_run_simulates_its_baseline(self):
+        from repro.defenses import run_workload
+        from repro.sim import SimConfig
+        from repro.workloads import all_workloads
+
+        workloads = all_workloads(scale=1)[:2]
+        arch = AdaptiveArchitecture(self._poisoned_detector(),
+                                    sample_period=200)
+        reused = metrics().counter("adaptive.baseline.reused").value
+        latches = metrics().counter("adaptive.fail_secure.latches").value
+        overheads, baseline = arch.overhead_on(workloads)
+        assert metrics().counter("adaptive.fail_secure.latches").value \
+            == latches + len(workloads)
+        assert metrics().counter("adaptive.baseline.reused").value == reused
+        for w in workloads:
+            base = run_workload(w, SimConfig()).cycles
+            gated = arch.run_source(w).cycles
+            assert baseline[w.name] == base
+            assert overheads[w.name] == (gated - base) / base
+
     def test_fail_secure_can_be_disabled_for_debugging(self):
         from repro.attacks import Meltdown
 
